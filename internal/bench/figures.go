@@ -385,19 +385,6 @@ func FigWriteBehind(opts Options) (*Figure, error) {
 	return fig, nil
 }
 
-// All runs every figure in order.
-func All(opts Options) ([]*Figure, error) {
-	var figs []*Figure
-	for _, f := range []func(Options) (*Figure, error){Fig5, Fig6, Fig7, Fig8, Fig9, FigWriteBehind} {
-		fig, err := f(opts)
-		if err != nil {
-			return figs, err
-		}
-		figs = append(figs, fig)
-	}
-	return figs, nil
-}
-
 // RowFor returns the row for (stack, phase), for tests and
 // EXPERIMENTS.md tooling.
 func (f *Figure) RowFor(stack, phase string) (FigureRow, bool) {

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -66,7 +67,7 @@ type LoginStats struct {
 	Secchan    secchan.Snapshot      `json:"secchan"`
 
 	// Eks is the password-cost ablation: SRP fetch exchanges per
-	// second at each eksblowfish work factor.
+	// second at each eksblowfish work factor, from the median exchange.
 	Eks []EksPoint `json:"eks_ablation"`
 }
 
@@ -119,9 +120,9 @@ func startLoginServer() (*loginServer, error) {
 }
 
 // seedTickets performs one uncounted full handshake per worker and
-// returns the minted resumption tickets, waiting a beat for the
-// server's post-handshake cache inserts to land so the first measured
-// resumes hit.
+// returns the minted resumption tickets. The server caches each ticket
+// before its final handshake message, so the first measured resumes
+// hit without waiting.
 func (sv *loginServer) seedTickets(workers int, tempKey *rabin.PrivateKey) ([]*secchan.ResumeTicket, error) {
 	tickets := make([]*secchan.ResumeTicket, workers)
 	for w := 0; w < workers; w++ {
@@ -133,7 +134,6 @@ func (sv *loginServer) seedTickets(workers int, tempKey *rabin.PrivateKey) ([]*s
 		sec.Close()
 		tickets[w] = info.Ticket
 	}
-	time.Sleep(10 * time.Millisecond)
 	return tickets, nil
 }
 
@@ -236,25 +236,32 @@ func (sv *loginServer) heldSessionsMB(held int, tempKey *rabin.PrivateKey) (floa
 // client-side password hashing at the registered cost, the SRP
 // exchange, private-key decryption — over an in-memory pipe with a
 // fresh key-service handler (the handler, like a real connection,
-// serves one SRP exchange).
+// serves one SRP exchange). Neighbouring work factors differ by a
+// millisecond or two per exchange, less than a shared host's speed
+// drifts over a few tens of milliseconds, so the work factors take
+// turns exchange by exchange and each rate comes from its median
+// exchange.
 func eksAblation(costs []uint, exchanges int) ([]EksPoint, error) {
 	rng := prng.NewSeeded([]byte("storm-eks"))
 	userKey, err := rabin.GenerateKey(rng, 768)
 	if err != nil {
 		return nil, err
 	}
-	points := make([]EksPoint, 0, len(costs))
-	for _, cost := range costs {
-		auth := authserv.New("/sfs/storm", rng)
+	auths := make([]*authserv.Server, len(costs))
+	for k, cost := range costs {
+		auths[k] = authserv.New("/sfs/storm", rng)
 		db := authserv.NewDB("local", true)
-		auth.AddDB(db)
-		if err := auth.Register(db, "dm", 1000, []uint32{1000}, authserv.RegisterOptions{
+		auths[k].AddDB(db)
+		if err := auths[k].Register(db, "dm", 1000, []uint32{1000}, authserv.RegisterOptions{
 			Password: "storm-pw", PrivateKey: userKey, EksCost: cost,
 		}); err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		for i := 0; i < exchanges; i++ {
+	}
+	durs := make([][]time.Duration, len(costs))
+	for i := 0; i < exchanges; i++ {
+		for k, auth := range auths {
+			start := time.Now()
 			c1, c2 := net.Pipe()
 			rpc := sunrpc.NewServer()
 			rpc.Register(sfsrpc.KeyProgram, sfsrpc.Version, auth.KeyServiceHandler())
@@ -262,16 +269,17 @@ func eksAblation(costs []uint, exchanges int) ([]EksPoint, error) {
 			cl := sunrpc.NewClient(c1)
 			if _, err := authserv.FetchWithPassword(cl, "dm", "storm-pw", rng); err != nil {
 				cl.Close()
-				return nil, fmt.Errorf("bench: eks cost %d: %w", cost, err)
+				return nil, fmt.Errorf("bench: eks cost %d: %w", costs[k], err)
 			}
 			cl.Close()
 			c2.Close()
+			durs[k] = append(durs[k], time.Since(start))
 		}
-		elapsed := time.Since(start)
-		points = append(points, EksPoint{
-			Cost: cost, Exchanges: exchanges,
-			PerSec: float64(exchanges) / elapsed.Seconds(),
-		})
+	}
+	points := make([]EksPoint, len(costs))
+	for k, d := range durs {
+		sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
+		points[k] = EksPoint{Cost: costs[k], Exchanges: exchanges, PerSec: 1 / d[exchanges/2].Seconds()}
 	}
 	return points, nil
 }
@@ -331,8 +339,8 @@ func FigLogin(opts Options) (*Figure, error) {
 
 	ls := &LoginStats{
 		Workers: workers, FullConns: full, ResumedConns: resumed,
-		FullPerSec:    float64(full) / fullElapsed.Seconds(),
-		ResumedPerSec: float64(resumed) / resumedElapsed.Seconds(),
+		FullPerSec:          float64(full) / fullElapsed.Seconds(),
+		ResumedPerSec:       float64(resumed) / resumedElapsed.Seconds(),
 		RabinDecryptsFull:   rabinFull,
 		RabinDecryptsResume: rabinResume,
 		HeldSessions:        held,

@@ -78,16 +78,16 @@ func TestDeferredWriteErrorSurfaces(t *testing.T) {
 }
 
 // TestWriteRetransmitAcrossServerRestart acknowledges a batch of
-// unstable WRITEs, reboots the server (discarding them and changing
-// the write verifier), then Syncs: the client must notice the verifier
-// change at COMMIT and retransmit every dirty range, ending with the
-// data stable — the scenario RFC 1813 §4.8 verifiers exist for.
+// unstable WRITEs, reboots the server (changing the write verifier),
+// then Syncs: the client must notice the verifier change at COMMIT and
+// retransmit every dirty range, ending with the data stable — the
+// scenario RFC 1813 §4.8 verifiers exist for.
 //
 // The scenario runs against both storage backends: on the default
-// in-memory store Restart is the test-only shadow-revert hook; on the
-// disk store it is a real crash — the WAL tears off its user-space
-// buffer (auto-flush disabled so the unstable batch is actually
-// lost), reopens with a bumped epoch, and replays.
+// in-memory store Restart only rolls the verifier, so the retransmit
+// is redundant; on the disk store it is a real crash — the WAL tears
+// off its user-space buffer (auto-flush disabled so the unstable
+// batch is actually lost), reopens with a bumped epoch, and replays.
 func TestWriteRetransmitAcrossServerRestart(t *testing.T) {
 	t.Run("mem", func(t *testing.T) { testWriteRetransmit(t, vfs.New()) })
 	t.Run("disk", func(t *testing.T) {
@@ -133,8 +133,8 @@ func testWriteRetransmit(t *testing.T, fs *vfs.FS) {
 	if err := f.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulated server crash+reboot: uncommitted data reverts, the
-	// boot verifier changes.
+	// Server crash+reboot: the boot verifier changes (and on the disk
+	// store the uncommitted data is lost).
 	s.FS.Restart()
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ func BenchmarkHandshake(b *testing.B) {
 				done <- err
 				return
 			}
-			_, _, err = ServerHandshake(c2, req, sk, srng)
+			_, _, err = ServerHandshakeSession(c2, req, sk, srng, nil)
 			done <- err
 		}()
 		if _, _, _, err := ClientHandshake(c1, ServiceFile, path, tk, crng); err != nil {
@@ -54,9 +54,7 @@ func BenchmarkResume(b *testing.B) {
 	srng := prng.NewSeeded([]byte("bench-rs-server"))
 	crng := prng.NewSeeded([]byte("bench-rs-client"))
 
-	// Seed: one full handshake mints the first ticket. Wait for the
-	// server side to return before resuming — the cache insert happens
-	// after its final write, so racing ahead would see a miss.
+	// Seed: one full handshake mints the first ticket.
 	c1, c2 := net.Pipe()
 	sdone := make(chan error, 1)
 	go func() {

@@ -398,16 +398,17 @@ func AcceptResume(conn io.ReadWriteCloser, req *ResumeRequest, cache *ResumeCach
 	resp.Status = resumeOK
 	copy(resp.NonceS[:], rng.Bytes(keyHalf))
 	cs, sc, sid := resumeKeys(rms, req.NonceC, resp.NonceS)
-	if err := writeMsg(conn, resp); err != nil {
-		chanStats.handshakeF.Inc()
-		return nil, nil, false, err
-	}
 	sec, err := newConn(conn, cs[:], sc[:], false)
 	if err != nil {
 		chanStats.handshakeF.Inc()
 		return nil, nil, false, err
 	}
+	// Cache the next ticket before answering (see serverHandshake).
 	cache.put(sid, resumeMaster(cs[:], sc[:]), binding)
+	if err := writeMsg(conn, resp); err != nil {
+		chanStats.handshakeF.Inc()
+		return nil, nil, false, err
+	}
 	var hostID core.HostID
 	copy(hostID[:], req.HostID[:])
 	info := &Info{

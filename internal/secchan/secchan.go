@@ -443,14 +443,9 @@ func RejectBusy(conn io.Writer) error {
 	return writeMsg(conn, connectResponse{Status: connectBusy, ServerKey: []byte{}, Revocation: []byte{}})
 }
 
-// ServerHandshake completes the server side of connection setup for a
-// connect request that the caller has matched to priv.
-func ServerHandshake(conn io.ReadWriteCloser, req *ConnectRequest, priv *rabin.PrivateKey, rng *prng.Generator) (*Conn, *Info, error) {
-	return ServerHandshakeSession(conn, req, priv, rng, nil)
-}
-
-// ServerHandshakeSession is ServerHandshake with a resumption cache:
-// the established session's resume secret is cached so the client's
+// ServerHandshakeSession completes the server side of connection
+// setup for a connect request that the caller has matched to priv.
+// The established session's resume secret is cached so the client's
 // next reconnect can skip the Rabin decrypt. A nil cache disables
 // resumption for this session.
 func ServerHandshakeSession(conn io.ReadWriteCloser, req *ConnectRequest, priv *rabin.PrivateKey, rng *prng.Generator, cache *ResumeCache) (*Conn, *Info, error) {
@@ -489,16 +484,19 @@ func serverHandshake(conn io.ReadWriteCloser, req *ConnectRequest, priv *rabin.P
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := writeMsg(conn, keyNegResponse{KeyHalves: encS}); err != nil {
-		return nil, nil, err
-	}
 	cs, sc, sid := sessionKeys(pub, neg.TempKey, cHalves, sHalves)
 	sec, err := newConn(conn, cs[:], sc[:], false)
 	if err != nil {
 		return nil, nil, err
 	}
+	// Publish the next ticket before the final message: a client that
+	// reconnects the moment it reads the reply must find it cached. If
+	// the write fails, the orphaned single-use entry ages out.
 	cache.put(sid, resumeMaster(cs[:], sc[:]),
 		resumeBinding{hostID: req.HostID, location: req.Location, service: req.Service})
+	if err := writeMsg(conn, keyNegResponse{KeyHalves: encS}); err != nil {
+		return nil, nil, err
+	}
 	var hostID core.HostID
 	copy(hostID[:], req.HostID[:])
 	info := &Info{
@@ -567,9 +565,6 @@ func init() { mode.Store(true) }
 // reproduce the paper's "SFS w/o encryption" rows.
 func SetEncryption(on bool) { mode.Store(on) }
 
-// EncryptionEnabled reports the current mode.
-func EncryptionEnabled() bool { return mode.Load() }
-
 func newConn(raw io.ReadWriteCloser, keyCS, keySC []byte, isClient bool) (*Conn, error) {
 	csCipher, err := arc4.New(keyCS)
 	if err != nil {
@@ -602,56 +597,23 @@ func sized(buf []byte, n int) (rec, ret []byte) {
 	return rec, rec
 }
 
-// Write seals p as one record: MAC keyed from the stream, over the
-// length and plaintext; then length, payload, and MAC encrypted. The
-// sealed record is staged in a per-channel scratch buffer, so the
-// underlying transport must not retain the slice it is handed.
+// Write seals p as one record: the one-segment case of WriteSegments.
+// Only the gather-off ablation's flat funnel calls it, so it charges
+// the wire-copy ledger the staging pass a flat caller pays — for
+// records of at least legacyCopyMin bytes, so handshake and
+// header-only traffic does not dilute the copies-per-payload ratio.
 func (c *Conn) Write(p []byte) (int, error) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	var sealT0 time.Time
-	if stats.StageTimingOn() {
-		sealT0 = time.Now()
-	}
-	c.send.KeyStreamInto(c.sendMacKey[:])
-	mac := sha1mac.Sum(c.sendMacKey[:], p)
-	rec, ret := sized(c.sealBuf, 4+len(p)+sha1mac.Size)
-	c.sealBuf = ret
-	rec[0] = byte(len(p) >> 24)
-	rec[1] = byte(len(p) >> 16)
-	rec[2] = byte(len(p) >> 8)
-	rec[3] = byte(len(p))
-	copy(rec[4:], p)
-	copy(rec[4+len(p):], mac[:])
-	if c.encrypt {
-		c.send.XORKeyStream(rec, rec)
-	} else {
-		// Keep the stream position aligned with the peer.
-		c.send.Skip(len(rec))
-	}
-	if !sealT0.IsZero() {
-		c.sealNS.Add(int64(time.Since(sealT0)))
-	}
-	if _, err := c.raw.Write(rec); err != nil {
-		return 0, err
-	}
-	// Wire-copy accounting for the legacy funnel: staging p into the
-	// record buffer is one full pass over the payload. Only records big
-	// enough to contain payload-class opaques count, so handshake and
-	// header-only traffic does not dilute the copies-per-payload ratio.
-	if len(p) >= legacyCopyMin {
+	n, _, err := c.WriteSegments([][]byte{p})
+	if err == nil && len(p) >= legacyCopyMin {
 		stats.NoteWireCopied(uint64(len(p)))
 	}
-	chanStats.seals.Inc()
-	chanStats.sealPlain.Add(uint64(len(p)))
-	chanStats.sealCipher.Add(uint64(len(rec)))
-	return len(p), nil
+	return n, err
 }
 
-// legacyCopyMin is the record size from which the legacy Write path
-// charges its staging copy to the wire-copy accounting: large enough
-// to exclude handshake and header-only records, well below one
-// payload-carrying 8KB READ/WRITE record.
+// legacyCopyMin is the record size from which Write charges its
+// staging copy to the wire-copy accounting: large enough to exclude
+// handshake and header-only records, well below one payload-carrying
+// 8KB READ/WRITE record.
 const legacyCopyMin = 4096
 
 // WriteSegments seals the concatenation of segs as one record without

@@ -9,6 +9,7 @@ package server
 import (
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -62,10 +63,6 @@ func TestResumeReconnectThroughMaster(t *testing.T) {
 		t.Fatal("full handshake minted no resumption ticket")
 	}
 	sec.Close()
-	// The server caches the session just after its final handshake
-	// write; an instant reconnect could miss (and harmlessly fall back),
-	// but this test wants the hit path.
-	waitFor(t, "ticket cached", func() bool { return s.resume.Stats().Entries == 1 })
 
 	// Reconnect by resumption: zero Rabin decrypts, counted as resumed.
 	rabin0 := secchan.RabinDecrypts()
@@ -83,6 +80,53 @@ func TestResumeReconnectThroughMaster(t *testing.T) {
 	waitFor(t, "resumed counter", func() bool { return s.met.hsResumed.Load() == 1 })
 	if got := s.met.hsFull.Load(); got != 1 {
 		t.Fatalf("full handshakes %d, want 1", got)
+	}
+}
+
+// TestResumeChainImmediateReconnects is the regression test for the
+// ticket publish race: the server must cache a session's next ticket
+// before its final handshake message, or a client that reconnects the
+// instant it reads that message presents a ticket the server does not
+// hold yet and silently pays a full Rabin negotiation. A chain of
+// immediate ticket-chained reconnects on at least two cores must never
+// miss.
+func TestResumeChainImmediateReconnects(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	key, _ := serverKeys(t)
+	s := New(prng.NewSeeded([]byte("resume-chain")))
+	path, err := s.Serve(ServedConfig{Location: "chain.example.com", Key: key, FS: vfs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec, info := dialServer(t, s, path, secchan.ServiceFile)
+	sec.Close()
+	rng := prng.NewSeeded([]byte("resume-chain-client"))
+	tempKey, err := rabin.GenerateKey(rng, 768)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const reconnects = 1000
+	misses0, rabin0 := secchan.StatsSnapshot().ResumeMisses, secchan.RabinDecrypts()
+	ticket := info.Ticket
+	for i := 0; i < reconnects; i++ {
+		c1, c2 := net.Pipe()
+		go s.HandleConn(&pipeConn{c2})
+		sec, info, _, err := secchan.ClientHandshakeResume(&pipeConn{c1}, secchan.ServiceFile, path, tempKey, rng, ticket)
+		if err != nil {
+			t.Fatalf("reconnect %d: %v", i, err)
+		}
+		sec.Close()
+		ticket = info.Ticket
+	}
+	if d := secchan.StatsSnapshot().ResumeMisses - misses0; d != 0 {
+		t.Errorf("%d of %d immediate reconnects missed the resume cache", d, reconnects)
+	}
+	if d := secchan.RabinDecrypts() - rabin0; d != 0 {
+		t.Errorf("resumed chain performed %d Rabin decrypts, want 0", d)
+	}
+	waitFor(t, "resumed counter", func() bool { return s.met.hsResumed.Load() == reconnects })
+	if got := s.met.hsFull.Load(); got != 1 {
+		t.Fatalf("full handshakes %d, want 1 (the seed)", got)
 	}
 }
 
@@ -270,9 +314,6 @@ func TestHandshakeStorm(t *testing.T) {
 				}
 				ticket = info.Ticket
 				sec.Close()
-				// Give the server's post-handshake cache insert a beat so
-				// the next reconnect hits rather than falling back.
-				time.Sleep(5 * time.Millisecond)
 			}
 		}(w)
 	}
@@ -282,8 +323,7 @@ func TestHandshakeStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every connection established a session — first per worker in
-	// full, later ones by resumption (a rare lost race on the cache
-	// insert falls back to full, which still establishes).
+	// full, later ones by resumption.
 	waitFor(t, "storm counters", func() bool {
 		m := &s.met
 		return m.hsFull.Load()+m.hsResumed.Load() == workers*iters

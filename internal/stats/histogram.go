@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/bits"
 	"time"
 )
@@ -113,13 +114,15 @@ func (h *Histogram) Snapshot() HistSnapshot {
 }
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the snapshot's
-// buckets, returning the upper bound of the bucket where the
-// cumulative count crosses q. Zero if the snapshot is empty.
+// buckets, returning the upper bound of the bucket holding the
+// nearest-rank sample, rank ceil(q·N). Zero if the snapshot is empty.
 func (s HistSnapshot) Quantile(q float64) uint64 {
 	if s.Count == 0 {
 		return 0
 	}
-	target := uint64(q * float64(s.Count))
+	// The epsilon keeps float error in q·N (0.07·100 = 7.000000000000001)
+	// from pushing an exact rank up by one.
+	target := uint64(math.Ceil(q*float64(s.Count) - 1e-9))
 	if target == 0 {
 		target = 1
 	}

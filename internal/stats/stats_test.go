@@ -84,6 +84,40 @@ func TestHistogramSnapshotAndQuantile(t *testing.T) {
 	}
 }
 
+// TestQuantileNearestRank pins the nearest-rank target ceil(q·N): a
+// lone slow sample among few must own the tail quantiles, where
+// floor(q·N) would report the fast bucket.
+func TestQuantileNearestRank(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fast int // samples of 10 (bucket [8,15])
+		slow int // samples of 40000 (bucket [32768,65535])
+		q    float64
+		want uint64
+	}{
+		{"N=3 p50", 2, 1, 0.50, 15},
+		{"N=3 p95", 2, 1, 0.95, 65535},
+		{"N=3 p99", 2, 1, 0.99, 65535},
+		{"N=1 p50", 0, 1, 0.50, 65535},
+		{"N=100 p95 at edge", 95, 5, 0.95, 15},
+		{"N=100 p96 past edge", 95, 5, 0.96, 65535},
+		{"N=100 p7 exact rank", 7, 93, 0.07, 15},
+		{"N=20 p95", 19, 1, 0.95, 15},
+		{"N=20 p99", 19, 1, 0.99, 65535},
+	} {
+		var h Histogram
+		for i := 0; i < tc.fast; i++ {
+			h.Observe(10)
+		}
+		for i := 0; i < tc.slow; i++ {
+			h.Observe(40000)
+		}
+		if got := h.Snapshot().Quantile(tc.q); got != tc.want {
+			t.Errorf("%s: Quantile(%v) = %d, want %d", tc.name, tc.q, got, tc.want)
+		}
+	}
+}
+
 // TestConcurrentIncrementAndSnapshot hammers every primitive from
 // many goroutines while snapshots are taken concurrently. It is part
 // of the tier-1 race target (go test -race ./internal/stats): the

@@ -2,6 +2,8 @@ package sunrpc
 
 import (
 	"encoding/binary"
+	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -79,44 +81,112 @@ func TestOutOfOrderReplies(t *testing.T) {
 	}
 }
 
-// TestInOrderReplies: the opt-in mode restores call-order replies even
-// when a later call finishes first.
-func TestInOrderReplies(t *testing.T) {
+// TestServeConnContract: ServeConn returns only after every in-flight
+// handler has finished (its reply still reaches a half-closed peer),
+// returns nil on EOF, closes the connection, and counts every record
+// it discards — short records and stray replies — in Dropped.
+func TestServeConnContract(t *testing.T) {
 	srv, gate := gateServer(t)
-	srv.SetInOrder(true)
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	go srv.ServeConn(c2) //nolint:errcheck
-	if err := WriteRecord(c1, callRecord(t, 1, 10)); err != nil {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteRecord(c1, callRecord(t, 2, 11)); err != nil {
+	defer l.Close()
+	served := make(chan error, 1)
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			served <- err
+			return
+		}
+		served <- srv.ServeConn(c)
+	}()
+	cl, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
 		t.Fatal(err)
 	}
-	time.AfterFunc(20*time.Millisecond, func() { close(gate) })
-	if xid := replyXID(t, c1); xid != 1 {
-		t.Fatalf("first reply xid = %d, want 1 (call order)", xid)
+	defer cl.Close()
+	stray := make([]byte, 8) // xid 0, msgReply: a reply nobody asked for
+	binary.BigEndian.PutUint32(stray[4:], msgReply)
+	for _, rec := range [][]byte{callRecord(t, 1, 10), {1, 2, 3}, stray} {
+		if err := WriteRecord(cl, rec); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if xid := replyXID(t, c1); xid != 2 {
-		t.Fatalf("second reply xid = %d, want 2", xid)
+	if err := cl.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-served:
+		t.Fatalf("ServeConn returned %v with a handler still running", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate)
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("ServeConn on EOF = %v, want nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeConn did not return after its last handler finished")
+	}
+	if xid := replyXID(t, cl); xid != 1 {
+		t.Fatalf("reply xid = %d, want 1", xid)
+	}
+	if _, err := ReadRecord(cl); !errors.Is(err, io.EOF) {
+		t.Fatalf("read after ServeConn returned: %v, want EOF (conn closed)", err)
+	}
+	if n := srv.Metrics().Dropped.Load(); n != 2 {
+		t.Fatalf("Dropped = %d, want 2 (short record + stray reply)", n)
 	}
 }
 
-// TestSerialWorkers: SetWorkers(1) selects the strictly serial path.
-func TestSerialWorkers(t *testing.T) {
-	srv := NewServer()
-	srv.Register(testProg, testVers, echoHandler)
-	srv.SetWorkers(1)
-	c1, c2 := net.Pipe()
-	go srv.ServeConn(c2) //nolint:errcheck
-	cl := NewClient(c1)
-	defer cl.Close()
-	var res echoRes
-	if err := cl.Call(testProg, testVers, 1, NoAuth(), echoArgs{N: 1, Msg: "serial"}, &res); err != nil {
-		t.Fatal(err)
+// TestUnencodableReplyFailsCaller: when a handler's result cannot be
+// encoded, the server ends the connection, so the caller gets an
+// error instead of waiting forever — on a ServeConn server and on a
+// NewPeer duplex server alike.
+func TestUnencodableReplyFailsCaller(t *testing.T) {
+	serve := map[string]func(*testing.T, *Server, net.Conn) <-chan error{
+		"ServeConn": func(_ *testing.T, srv *Server, c net.Conn) <-chan error {
+			done := make(chan error, 1)
+			go func() { done <- srv.ServeConn(c) }()
+			return done
+		},
+		"NewPeer": func(t *testing.T, srv *Server, c net.Conn) <-chan error {
+			p := NewPeer(c, srv)
+			t.Cleanup(func() { p.Close() })
+			return nil
+		},
 	}
-	if res.N != 2 || res.Msg != "serial" {
-		t.Fatalf("got %+v", res)
+	for name, start := range serve {
+		t.Run(name, func(t *testing.T) {
+			srv := NewServer()
+			srv.Register(testProg, testVers, func(uint32, OpaqueAuth, *xdr.Decoder) (interface{}, error) {
+				return make(chan int), nil // xdr has no encoding for a channel
+			})
+			c1, c2 := net.Pipe()
+			done := start(t, srv, c2)
+			cl := NewClient(c1)
+			defer cl.Close()
+			called := make(chan error, 1)
+			go func() { called <- cl.Call(testProg, testVers, 1, NoAuth(), nil, nil) }()
+			select {
+			case err := <-called:
+				if err == nil {
+					t.Fatal("call with an unencodable reply succeeded")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("caller hung on an unencodable reply")
+			}
+			if done != nil {
+				if err := <-done; err == nil {
+					t.Fatal("ServeConn returned nil after an encode failure")
+				}
+			}
+			if n := srv.Metrics().Errors.Load(); n != 1 {
+				t.Fatalf("Errors = %d, want 1", n)
+			}
+		})
 	}
 }
 

@@ -52,7 +52,7 @@ func (p *progMetrics) observe(proc uint32, failed bool) {
 type Metrics struct {
 	Calls   stats.Counter // well-formed calls dispatched
 	Replies stats.Counter // replies encoded successfully
-	Dropped stats.Counter // unparseable records dropped silently
+	Dropped stats.Counter // records discarded: unparseable, short, or unmatched replies
 	Errors  stats.Counter // server-side encode failures
 
 	InFlight stats.Gauge     // dispatch-queue depth
@@ -109,13 +109,13 @@ type ProcCount struct {
 // procedure names; the NFS server exposes named counters one layer
 // up).
 type MetricsSnapshot struct {
-	Calls    uint64               `json:"calls"`
-	Replies  uint64               `json:"replies"`
-	Dropped  uint64               `json:"dropped,omitempty"`
-	Errors   uint64               `json:"errors,omitempty"`
-	InFlight stats.GaugeSnapshot  `json:"in_flight"`
-	Workers  stats.GaugeSnapshot  `json:"workers"`
-	Latency  stats.HistSnapshot   `json:"latency_us"`
+	Calls    uint64                 `json:"calls"`
+	Replies  uint64                 `json:"replies"`
+	Dropped  uint64                 `json:"dropped,omitempty"`
+	Errors   uint64                 `json:"errors,omitempty"`
+	InFlight stats.GaugeSnapshot    `json:"in_flight"`
+	Workers  stats.GaugeSnapshot    `json:"workers"`
+	Latency  stats.HistSnapshot     `json:"latency_us"`
 	Procs    map[string]ProcCount   `json:"procs,omitempty"`
 	Trace    stats.TraceSnapshot    `json:"trace"`
 	Stages   stats.StageSetSnapshot `json:"stages,omitempty"`

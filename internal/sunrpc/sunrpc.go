@@ -448,6 +448,9 @@ type Client struct {
 	srv    *Server       // nil for a pure client
 	sem    chan struct{} // bounds concurrent incoming-call dispatch
 	done   chan struct{}
+	// served counts the read loop and every incoming call it has
+	// dispatched; ServeConn waits on it before closing the transport.
+	served sync.WaitGroup
 }
 
 // clientTracer is a client's tracing sinks, installed by EnableTrace.
@@ -473,8 +476,8 @@ func NewClient(conn io.ReadWriteCloser) *Client { return NewPeer(conn, nil) }
 // NewPeer starts a duplex peer on conn: replies are matched to local
 // calls, and incoming calls (if srv is non-nil) are dispatched to srv
 // with replies sent back over the same connection. Incoming calls run
-// concurrently, bounded by the server's worker limit, and replies go
-// out in completion order: XIDs disambiguate.
+// concurrently, at most DefaultWorkers at a time, and replies go out
+// in completion order: XIDs disambiguate.
 func NewPeer(conn io.ReadWriteCloser, srv *Server) *Client {
 	c := &Client{
 		conn:    conn,
@@ -484,8 +487,9 @@ func NewPeer(conn io.ReadWriteCloser, srv *Server) *Client {
 		done:    make(chan struct{}),
 	}
 	if srv != nil {
-		c.sem = make(chan struct{}, srv.maxWorkers())
+		c.sem = make(chan struct{}, DefaultWorkers)
 	}
+	c.served.Add(1)
 	go c.readLoop()
 	return c
 }
@@ -494,6 +498,7 @@ func NewPeer(conn io.ReadWriteCloser, srv *Server) *Client {
 func (c *Client) Done() <-chan struct{} { return c.done }
 
 func (c *Client) readLoop() {
+	defer c.served.Done()
 	ot, _ := c.conn.(OpenTimer)
 	for {
 		// When any trace ring in the process is on, bracket the record
@@ -519,12 +524,14 @@ func (c *Client) readLoop() {
 			}
 		}
 		if len(rec) < 8 {
+			c.dropped()
 			continue
 		}
 		if binary.BigEndian.Uint32(rec[4:]) == msgCall {
 			if c.srv != nil {
 				c.srv.met.Load().InFlight.Inc()
 				c.sem <- struct{}{} // bound outstanding dispatches
+				c.served.Add(1)
 				go c.serveCall(rec, tRead, openNS)
 			}
 			continue
@@ -541,14 +548,25 @@ func (c *Client) readLoop() {
 		c.mu.Unlock()
 		if ok {
 			ch <- rec
+		} else {
+			c.dropped()
 		}
+	}
+}
+
+// dropped counts a record that matched neither a call to serve nor a
+// pending reply in the server's Dropped counter (a pure client has
+// none).
+func (c *Client) dropped() {
+	if c.srv != nil {
+		c.srv.met.Load().Dropped.Inc()
 	}
 }
 
 func (c *Client) serveCall(rec record, tRead time.Time, openNS int64) {
 	met := c.srv.met.Load()
 	met.Workers.Inc()
-	defer func() { met.Workers.Dec(); met.InFlight.Dec(); <-c.sem }()
+	defer func() { met.Workers.Dec(); met.InFlight.Dec(); <-c.sem; c.served.Done() }()
 	var clk *stats.StageClock
 	if !tRead.IsZero() && met.Trace.Enabled() {
 		clk = serverClock(tRead, openNS)
@@ -557,17 +575,20 @@ func (c *Client) serveCall(rec record, tRead time.Time, openNS int64) {
 	e := xdr.GetEncoder()
 	defer xdr.PutEncoder(e)
 	ok, err := c.srv.dispatch(rec, e, clk)
-	if err != nil || !ok {
-		return
+	if err == nil && ok {
+		c.wmu.Lock()
+		err = writeReplyTraced(c.conn, e, clk)
+		c.wmu.Unlock()
 	}
-	c.wmu.Lock()
-	err = writeReplyTraced(c.conn, e, clk)
-	c.wmu.Unlock()
 	if err != nil {
+		// A reply that cannot be encoded or written ends the
+		// connection: closing it fails the caller's pending call
+		// instead of leaving it waiting for a reply that never comes.
 		c.fail(err)
+		c.conn.Close()
 		return
 	}
-	if clk != nil {
+	if ok && clk != nil {
 		sp := clk.FinishServer()
 		met.Stages.Record(sp)
 		met.Trace.Record(*sp)
@@ -826,18 +847,16 @@ type Handler func(proc uint32, cred OpaqueAuth, args *xdr.Decoder) (interface{},
 // progVers identifies a registered program.
 type progVers struct{ prog, vers uint32 }
 
-// DefaultWorkers is the per-connection bound on concurrently
-// dispatched calls when SetWorkers has not been called. It mirrors the
-// paper's asynchronous RPC libraries: enough outstanding requests to
-// keep the disk and wire busy, without unbounded goroutine growth.
+// DefaultWorkers is the per-connection (and per packet listener) bound
+// on concurrently dispatched calls. It mirrors the paper's
+// asynchronous RPC libraries: enough outstanding requests to keep the
+// disk and wire busy, without unbounded goroutine growth.
 const DefaultWorkers = 16
 
 // Server dispatches RPC calls on accepted transports.
 type Server struct {
 	mu       sync.RWMutex
 	handlers map[progVers]Handler
-	workers  int  // 0 → DefaultWorkers; 1 → serial
-	inOrder  bool // replies in call order instead of completion order
 	met      atomic.Pointer[Metrics]
 }
 
@@ -867,235 +886,23 @@ func (s *Server) Register(prog, vers uint32, h Handler) {
 	s.handlers[progVers{prog, vers}] = h
 }
 
-// SetWorkers bounds the number of calls dispatched concurrently per
-// connection. n <= 0 restores DefaultWorkers; n == 1 serves strictly
-// serially. Affects connections served after the call.
-func (s *Server) SetWorkers(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n <= 0 {
-		n = 0
-	}
-	s.workers = n
-}
-
-// SetInOrder selects reply ordering for concurrent connections. By
-// default replies leave in completion order — XIDs disambiguate, and
-// RFC 1831 imposes no ordering. In-order mode restores call-order
-// replies for peers that cannot match XIDs.
-func (s *Server) SetInOrder(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.inOrder = on
-}
-
-func (s *Server) maxWorkers() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.workers == 0 {
-		return DefaultWorkers
-	}
-	return s.workers
-}
-
-func (s *Server) replyInOrder() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.inOrder
-}
-
-// ServeConn handles calls on conn until it fails, then closes it.
-// Up to SetWorkers calls are dispatched concurrently; one serialized
-// writer emits replies, out of order by default (see SetInOrder).
+// ServeConn serves calls on conn until it fails, then closes it. It
+// runs the duplex peer loop of NewPeer with no calls of its own:
+// up to DefaultWorkers calls are dispatched concurrently and replies
+// leave in completion order. It returns once the read loop and every
+// handler it started have finished: nil on a clean EOF, otherwise the
+// first read, encode, or write error.
 func (s *Server) ServeConn(conn io.ReadWriteCloser) error {
-	defer conn.Close()
-	n := s.maxWorkers()
-	if n <= 1 {
-		return s.serveSerial(conn)
-	}
-
-	var (
-		wmu     sync.Mutex // serializes reply writes
-		wg      sync.WaitGroup
-		failMu  sync.Mutex
-		srvErr  error
-		inOrder = s.replyInOrder()
-	)
-	fail := func(err error) {
-		failMu.Lock()
-		if srvErr == nil {
-			srvErr = err
-			conn.Close() // unblock the reader and any in-flight writes
-		}
-		failMu.Unlock()
-	}
-	failed := func() error {
-		failMu.Lock()
-		defer failMu.Unlock()
-		return srvErr
-	}
-
-	// In-order mode: the reader enqueues one slot per call; a single
-	// writer goroutine drains slots in call order, so a slow early
-	// call holds back later replies (the pre-refactor semantics).
-	var slots chan chan *xdr.Encoder
-	writerDone := make(chan struct{})
-	if inOrder {
-		slots = make(chan chan *xdr.Encoder, 4*n)
-		go func() {
-			defer close(writerDone)
-			for slot := range slots {
-				e := <-slot
-				if e == nil {
-					continue
-				}
-				if err := WriteRecordEncoder(conn, e); err != nil {
-					fail(err)
-				}
-				xdr.PutEncoder(e)
-			}
-		}()
-	} else {
-		close(writerDone)
-	}
-
-	sem := make(chan struct{}, n)
-	met := s.met.Load()
-	ot, _ := conn.(OpenTimer)
-	var readErr error
-	for {
-		// Stage tracing (out-of-order mode only — the in-order writer
-		// goroutine cannot attribute reply writes to a call): bracket
-		// the record read with the channel's open-work accumulator.
-		var open0 int64
-		traced := !inOrder && met.Trace.Enabled()
-		if traced && ot != nil {
-			open0 = ot.OpenWorkNS()
-		}
-		rec, err := ReadRecord(conn)
-		if err != nil {
-			readErr = err
-			break
-		}
-		var tRead time.Time
-		var openNS int64
-		if traced {
-			tRead = time.Now()
-			if ot != nil {
-				openNS = ot.OpenWorkNS() - open0
-			}
-		}
-		var slot chan *xdr.Encoder
-		if inOrder {
-			slot = make(chan *xdr.Encoder, 1)
-			slots <- slot
-		}
-		met.InFlight.Inc() // read off the wire, not yet replied
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(rec []byte, slot chan *xdr.Encoder, tRead time.Time, openNS int64) {
-			met.Workers.Inc()
-			defer func() { met.Workers.Dec(); met.InFlight.Dec(); <-sem; wg.Done() }()
-			var clk *stats.StageClock
-			if !tRead.IsZero() {
-				clk = serverClock(tRead, openNS)
-				clk.End(stats.StageQueue, tRead) // queue wait ends here
-			}
-			e := xdr.GetEncoder()
-			ok, err := s.dispatch(rec, e, clk)
-			if err != nil {
-				fail(err)
-				ok = false
-			}
-			if !ok {
-				xdr.PutEncoder(e)
-				if slot != nil {
-					slot <- nil
-				}
-				return
-			}
-			if slot != nil {
-				slot <- e // writer goroutine returns e to the pool
-				return
-			}
-			wmu.Lock()
-			werr := writeReplyTraced(conn, e, clk)
-			wmu.Unlock()
-			xdr.PutEncoder(e)
-			if werr != nil {
-				fail(werr)
-				return
-			}
-			if clk != nil {
-				sp := clk.FinishServer()
-				met.Stages.Record(sp)
-				met.Trace.Record(*sp)
-			}
-		}(rec, slot, tRead, openNS)
-	}
-	wg.Wait()
-	if inOrder {
-		close(slots)
-	}
-	<-writerDone
-	if err := failed(); err != nil {
-		return err
-	}
-	if errors.Is(readErr, io.EOF) {
+	c := NewPeer(conn, s)
+	c.served.Wait()
+	conn.Close()
+	c.mu.Lock()
+	err := c.err
+	c.mu.Unlock()
+	if errors.Is(err, io.EOF) {
 		return nil
 	}
-	return readErr
-}
-
-// serveSerial is the single-worker path: one call at a time, one
-// reusable encoder for the whole connection.
-func (s *Server) serveSerial(conn io.ReadWriteCloser) error {
-	e := xdr.GetEncoder()
-	defer xdr.PutEncoder(e)
-	met := s.met.Load()
-	ot, _ := conn.(OpenTimer)
-	for {
-		var open0 int64
-		traced := met.Trace.Enabled()
-		if traced && ot != nil {
-			open0 = ot.OpenWorkNS()
-		}
-		rec, err := ReadRecord(conn)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
-		}
-		var clk *stats.StageClock
-		if traced {
-			var openNS int64
-			if ot != nil {
-				openNS = ot.OpenWorkNS() - open0
-			}
-			clk = serverClock(time.Now(), openNS) // serial: no queue wait
-		}
-		met.InFlight.Inc()
-		met.Workers.Inc()
-		ok, err := s.dispatch(rec, e, clk)
-		met.Workers.Dec()
-		if err != nil {
-			met.InFlight.Dec()
-			return err
-		}
-		if ok {
-			err = writeReplyTraced(conn, e, clk)
-		}
-		met.InFlight.Dec()
-		if err != nil {
-			return err
-		}
-		if ok && clk != nil {
-			sp := clk.FinishServer()
-			met.Stages.Record(sp)
-			met.Trace.Record(*sp)
-		}
-	}
+	return err
 }
 
 // dispatch decodes one call record and encodes the reply into e

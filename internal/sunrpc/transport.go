@@ -60,11 +60,11 @@ func (s *Server) ListenAndServe(l net.Listener) error {
 // ServePacket serves RPC calls arriving as datagrams on pc, replying to
 // each sender. The receive buffer is allocated once; each in-flight
 // packet gets a pooled copy sized to what actually arrived, and at most
-// the server's worker limit of packets are dispatched concurrently. It
-// runs until pc is closed.
+// DefaultWorkers packets are dispatched concurrently. It runs until pc
+// is closed.
 func (s *Server) ServePacket(pc net.PacketConn) error {
 	buf := make([]byte, 65536)
-	sem := make(chan struct{}, s.maxWorkers())
+	sem := make(chan struct{}, DefaultWorkers)
 	for {
 		n, addr, err := pc.ReadFrom(buf)
 		if err != nil {

@@ -199,8 +199,8 @@ func TestStressRestartVsWrite(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// Post-churn, the file is either empty (reverted) or holds the
-	// payload prefix — never torn garbage.
+	// Post-churn, the file holds the payload prefix — never torn
+	// garbage.
 	data, _, err := fs.Read(cred, id, 0, 2048)
 	if err != nil {
 		t.Fatal(err)

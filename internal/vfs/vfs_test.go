@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/storage/diskstore"
 )
 
 var (
@@ -588,8 +590,12 @@ func BenchmarkWrite8K(b *testing.B) {
 	}
 }
 
+// TestVerifierAndRestart runs on a disk store with auto-flush off, so
+// the uncommitted overwrite sits in the WAL's user-space buffer and
+// the crash really loses it.
 func TestVerifierAndRestart(t *testing.T) {
-	fs := New()
+	fs, ds := newDiskFS(t, t.TempDir(), diskstore.Options{AutoFlushBytes: -1})
+	defer ds.Close()
 	v1 := fs.Verifier()
 	id, _, _ := fs.Create(root, fs.Root(), "f", 0o644, true)
 	if _, err := fs.Write(root, id, 0, []byte("stable"), true); err != nil {
@@ -627,14 +633,15 @@ func TestCommitSurvivesRestart(t *testing.T) {
 	}
 }
 
-func TestStableWriteDropsShadow(t *testing.T) {
-	fs := New()
+func TestStableWriteSurvivesRestart(t *testing.T) {
+	fs, ds := newDiskFS(t, t.TempDir(), diskstore.Options{AutoFlushBytes: -1})
+	defer ds.Close()
 	id, _, _ := fs.Create(root, fs.Root(), "f", 0o644, true)
 	if _, err := fs.Write(root, id, 0, []byte("one"), false); err != nil {
 		t.Fatal(err)
 	}
 	// A FILE_SYNC write flushes everything pending on the file, so the
-	// pre-crash snapshot must not resurrect the old contents.
+	// crash must neither lose it nor resurrect the older unstable write.
 	if _, err := fs.Write(root, id, 0, []byte("two"), true); err != nil {
 		t.Fatal(err)
 	}

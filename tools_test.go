@@ -42,7 +42,10 @@ package repro
 // adds internal/server: server.TestHandshakeStorm races full key
 // negotiations and ticket-chained resumptions from many clients
 // through the negotiation pool, the admission counters, and the
-// single-use resumption cache at once. Checkpointing and paging
+// single-use resumption cache at once, and
+// server.TestResumeChainImmediateReconnects chains immediate
+// resumptions on two cores (a ticket must be cached before the
+// handshake reply that hands it out). Checkpointing and paging
 // (DESIGN.md §15) add vfs.TestCheckpointConcurrentWrites (namespace
 // mutators and stable writers racing a stream of checkpoints through
 // the quiesce lock) and diskstore.TestCheckpointConcurrentReads
