@@ -484,69 +484,34 @@ func (c *Client) Readlink(fh FH) (string, error) {
 
 // Read fetches up to count bytes at offset. With the data cache
 // enabled, single-block requests are served from memory while the
-// file's attribute entry is live; cold full blocks go through the
-// single-flight table so concurrent readers cost one READ. The
-// returned slice may alias the cache — callers must not modify it.
+// file's attribute entry is live; a miss is ReadStart's miss path,
+// finished at once. The returned slice may alias the cache — callers
+// must not modify it.
 func (c *Client) Read(fh FH, offset uint64, count uint32) ([]byte, bool, error) {
-	core := c.core
-	if core.dc != nil && blockSpan(offset, count) {
-		if data, eof, ok := c.dataLookup(fh, offset, count); ok {
-			core.dataHits.Add(1)
-			return data, eof, nil
-		}
-		core.dataMisses.Add(1)
-		if offset%DataBlockSize == 0 && count == DataBlockSize {
-			return c.readShared(fh, offset)
-		}
+	if data, eof, ok := c.cacheHit(fh, offset, count); ok {
+		return data, eof, nil
 	}
-	epoch := core.invalEpoch.Load()
-	data, eof, err := c.readWire(fh, offset, count)
-	if err == nil {
-		c.populate(fh, offset, data, eof, epoch)
-	}
-	return data, eof, err
-}
-
-// readWire is the uncached READ round trip.
-func (c *Client) readWire(fh FH, offset uint64, count uint32) ([]byte, bool, error) {
-	var res ReadRes
-	if err := c.call(ProcRead, ReadArgs{FH: fh, Offset: offset, Count: count}, &res); err != nil {
+	fin, err := c.readMiss(fh, offset, count)
+	if err != nil {
 		return nil, false, err
 	}
-	if err := StatusErr(res.Status); err != nil {
-		return nil, false, err
-	}
-	c.remember(fh, res.Attr)
-	return res.Data, res.EOF, nil
+	return fin()
 }
 
-// readShared reads one cold full block through the single-flight
-// table: the first caller becomes the leader and issues the RPC,
-// later callers block on its flight and share the reply.
-func (c *Client) readShared(fh FH, offset uint64) ([]byte, bool, error) {
+// cacheHit serves a single-block request from the data cache and
+// counts the hit or miss. It allocates nothing, so Read's warm path
+// stays allocation-free.
+func (c *Client) cacheHit(fh FH, offset uint64, count uint32) ([]byte, bool, bool) {
 	core := c.core
-	key := flightKey(c.principal, fh, offset/DataBlockSize)
-	core.lock()
-	if fl, ok := core.flights[key]; ok {
-		core.mu.Unlock()
-		core.sfShared.Add(1)
-		<-fl.done
-		return fl.data, fl.eof, fl.err
+	if core.dc == nil || !blockSpan(offset, count) {
+		return nil, false, false
 	}
-	fl := &readFlight{done: make(chan struct{})}
-	core.flights[key] = fl
-	epoch := core.invalEpoch.Load()
-	core.mu.Unlock()
-	data, eof, err := c.readWire(fh, offset, DataBlockSize)
-	if err == nil {
-		c.populate(fh, offset, data, eof, epoch)
+	if data, eof, ok := c.dataLookup(fh, offset, count); ok {
+		core.dataHits.Add(1)
+		return data, eof, true
 	}
-	fl.data, fl.eof, fl.err = data, eof, err
-	core.lock()
-	delete(core.flights, key)
-	core.mu.Unlock()
-	close(fl.done)
-	return data, eof, err
+	core.dataMisses.Add(1)
+	return nil, false, false
 }
 
 // ReadAheadDepth reports the configured pipelining depth: how many
@@ -573,26 +538,32 @@ func (c *Client) ReadAheadDepth() int {
 // pipeline doubles as the cache filler. Futures must be finished in
 // the order they were started when several cover the same blocks.
 func (c *Client) ReadStart(fh FH, offset uint64, count uint32) (func() ([]byte, bool, error), error) {
+	if data, eof, ok := c.cacheHit(fh, offset, count); ok {
+		return func() ([]byte, bool, error) { return data, eof, nil }, nil
+	}
+	return c.readMiss(fh, offset, count)
+}
+
+// readMiss issues the READ for a request the cache did not serve: cold
+// full blocks go through the single-flight table so concurrent readers
+// cost one READ, and every completion may populate the cache.
+func (c *Client) readMiss(fh FH, offset uint64, count uint32) (func() ([]byte, bool, error), error) {
 	core := c.core
-	if core.dc != nil && blockSpan(offset, count) {
-		if data, eof, ok := c.dataLookup(fh, offset, count); ok {
-			core.dataHits.Add(1)
-			return func() ([]byte, bool, error) { return data, eof, nil }, nil
-		}
-		core.dataMisses.Add(1)
-		if offset%DataBlockSize == 0 && count == DataBlockSize {
-			return c.readStartShared(fh, offset)
-		}
+	if core.dc == nil {
+		return c.readStartWire(fh, offset, count)
+	}
+	if offset%DataBlockSize == 0 && count == DataBlockSize {
+		return c.readStartShared(fh, offset)
 	}
 	epoch := core.invalEpoch.Load()
 	fin, err := c.readStartWire(fh, offset, count)
-	if err != nil || core.dc == nil {
-		return fin, err
+	if err != nil {
+		return nil, err
 	}
 	return func() ([]byte, bool, error) {
 		data, eof, err := fin()
 		if err == nil {
-			c.populate(fh, offset, data, eof, epoch)
+			c.populate(fh, offset, data, eof, epoch, nil)
 		}
 		return data, eof, err
 	}, nil
@@ -642,7 +613,9 @@ func (c *Client) readStartShared(fh FH, offset uint64) (func() ([]byte, bool, er
 	resolve := func(data []byte, eof bool, err error) {
 		fl.data, fl.eof, fl.err = data, eof, err
 		core.lock()
-		delete(core.flights, key)
+		if core.flights[key] == fl {
+			delete(core.flights, key)
+		}
 		core.mu.Unlock()
 		close(fl.done)
 	}
@@ -654,7 +627,7 @@ func (c *Client) readStartShared(fh FH, offset uint64) (func() ([]byte, bool, er
 	return func() ([]byte, bool, error) {
 		data, eof, err := fin()
 		if err == nil {
-			c.populate(fh, offset, data, eof, epoch)
+			c.populate(fh, offset, data, eof, epoch, fl)
 		}
 		resolve(data, eof, err)
 		return data, eof, err
@@ -671,22 +644,16 @@ func (c *Client) sizeHint(fh FH) (uint64, bool) {
 	return 0, false
 }
 
-// Write stores data at offset with the given stability. Acknowledged
-// bytes are folded into the data cache so re-reads of freshly written
-// data stay off the wire.
+// Write stores data at offset with the given stability: WriteStart,
+// finished at once. Acknowledged bytes are folded into the data cache
+// so re-reads of freshly written data stay off the wire.
 func (c *Client) Write(fh FH, offset uint64, data []byte, stable uint32) (uint32, error) {
-	epoch := c.core.invalEpoch.Load()
-	var res WriteRes
-	if err := c.call(ProcWrite, WriteArgs{FH: fh, Offset: offset, Stable: stable, Data: data}, &res); err != nil {
+	fin, err := c.WriteStart(fh, offset, data, stable)
+	if err != nil {
 		return 0, err
 	}
-	if err := StatusErr(res.Status); err != nil {
-		c.core.forget(fh)
-		return 0, err
-	}
-	c.remember(fh, res.Attr)
-	c.noteWrite(fh, offset, data, epoch, false)
-	return res.Count, nil
+	n, _, err := fin()
+	return n, err
 }
 
 // WriteBehindDepth reports the configured write pipelining depth: how
@@ -734,7 +701,7 @@ func (c *Client) WriteStart(fh FH, offset uint64, data []byte, stable uint32) (f
 		}
 		c.remember(fh, res.Attr)
 		if cached != nil {
-			c.noteWrite(fh, offset, cached, epoch, true)
+			c.noteWrite(fh, offset, cached, epoch)
 		}
 		return res.Count, res.Verf, nil
 	}, nil
@@ -883,11 +850,6 @@ func (c *Client) Commit(fh FH) (uint64, error) {
 	return res.Verf, nil
 }
 
-// Null performs a no-op round trip, for latency measurement.
-func (c *Client) Null() error {
-	return c.call(ProcNull, nil, &struct{}{})
-}
-
 // IDNames maps numeric IDs to the server's user and group names (the
 // libsfs mapping service). Unknown IDs come back as empty strings.
 func (c *Client) IDNames(uids, gids []uint32) ([]string, []string, error) {
@@ -921,7 +883,7 @@ func (c *Client) Call(prog, vers, proc uint32, args, res interface{}) error {
 func (c *Client) ReadAll(fh FH, chunk uint32) ([]byte, error) {
 	depth := c.ReadAheadDepth()
 	if depth <= 1 {
-		return c.readAllSerial(fh, chunk)
+		return c.readAllTail(fh, chunk, nil)
 	}
 
 	size, sizeKnown := c.sizeHint(fh)
@@ -1017,8 +979,4 @@ func (c *Client) readAllTail(fh FH, chunk uint32, out []byte) ([]byte, error) {
 			return out, nil
 		}
 	}
-}
-
-func (c *Client) readAllSerial(fh FH, chunk uint32) ([]byte, error) {
-	return c.readAllTail(fh, chunk, nil)
 }

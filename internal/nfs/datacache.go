@@ -12,6 +12,7 @@ package nfs
 
 import (
 	"encoding/binary"
+	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -65,6 +66,10 @@ type readFlight struct {
 	data []byte
 	eof  bool
 	err  error
+	// detached is set, under clientCore.mu, when a WRITE to the block
+	// is acknowledged while the READ is in flight: the reply may
+	// predate the write, so it must not populate the cache.
+	detached bool
 }
 
 // flightKey identifies a (principal, file, block) triple in the
@@ -236,7 +241,9 @@ func (c *Client) dataLookup(fh FH, offset uint64, count uint32) ([]byte, bool, b
 // ReadRecord allocated fresh for this one reply and nothing ever
 // reuses — either way the cache alone references the bytes, and the
 // invalEpoch guard above decides whether they may serve warm hits.
-func (c *Client) populate(fh FH, offset uint64, data []byte, eof bool, epoch uint64) {
+// fl is the single-flight entry the READ led, or nil; a detached
+// flight's reply is not cached.
+func (c *Client) populate(fh FH, offset uint64, data []byte, eof bool, epoch uint64, fl *readFlight) {
 	core := c.core
 	dc := core.dc
 	if dc == nil || offset%DataBlockSize != 0 || len(data) == 0 || len(data) > DataBlockSize {
@@ -247,7 +254,7 @@ func (c *Client) populate(fh FH, offset uint64, data []byte, eof bool, epoch uin
 	}
 	core.lock()
 	defer core.mu.Unlock()
-	if core.invalEpoch.Load() != epoch {
+	if core.invalEpoch.Load() != epoch || (fl != nil && fl.detached) {
 		return
 	}
 	a, ok := core.attrs[string(fh)]
@@ -262,10 +269,9 @@ func (c *Client) populate(fh FH, offset uint64, data []byte, eof bool, epoch uin
 // freshly written data never touch the wire. Single-block-aligned
 // writes merge copy-on-write into the block; anything else, or any
 // write racing an invalidation, just drops the overlapping blocks.
-// owned says data belongs to the cache (already a private copy);
-// otherwise the caller may reuse its buffer and the bytes are copied.
-// The grant a write earns only exposes bytes the writer itself sent.
-func (c *Client) noteWrite(fh FH, offset uint64, data []byte, epoch uint64, owned bool) {
+// data becomes the cache's: the caller passes a private copy. The
+// grant a write earns only exposes bytes the writer itself sent.
+func (c *Client) noteWrite(fh FH, offset uint64, data []byte, epoch uint64) {
 	core := c.core
 	dc := core.dc
 	if dc == nil || len(data) == 0 {
@@ -275,6 +281,7 @@ func (c *Client) noteWrite(fh FH, offset uint64, data []byte, epoch uint64, owne
 	endBlk := (offset + uint64(len(data)) - 1) / DataBlockSize
 	core.lock()
 	defer core.mu.Unlock()
+	core.detachFlightsLocked(fh, blk, endBlk)
 	a, live := core.attrs[string(fh)]
 	if offset%DataBlockSize != 0 || blk != endBlk ||
 		core.invalEpoch.Load() != epoch || !live || !time.Now().Before(a.expires) {
@@ -287,13 +294,32 @@ func (c *Client) noteWrite(fh FH, offset uint64, data []byte, epoch uint64, owne
 		nb = make([]byte, len(old.data))
 		copy(nb, old.data)
 		copy(nb, data)
-	} else if owned {
-		nb = data
 	} else {
-		nb = append(make([]byte, 0, len(data)), data...)
+		nb = data
 	}
 	dc.grantLocked(string(fh), c.principal)
 	dc.insertLocked(string(fh), blk, nb, &core.evictions)
+}
+
+// detachFlightsLocked retires the single-flight READs of blocks
+// [from, to] of fh, for every principal, when a WRITE to them is
+// acknowledged: their replies may predate the write. Readers that
+// arrive later start a fresh READ instead of joining, and the retired
+// leaders do not populate the cache, so a writer always reads its own
+// write back. Caller holds core.mu in write mode.
+func (core *clientCore) detachFlightsLocked(fh FH, from, to uint64) {
+	if len(core.flights) == 0 {
+		return
+	}
+	for blk := from; blk <= to; blk++ {
+		suffix := flightKey("", fh, blk)
+		for k, fl := range core.flights {
+			if strings.HasSuffix(k, suffix) {
+				fl.detached = true
+				delete(core.flights, k)
+			}
+		}
+	}
 }
 
 // dropFileBlocks discards a file's cached blocks without touching its

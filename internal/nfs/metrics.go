@@ -192,16 +192,6 @@ type ServerStats struct {
 	WireCopy stats.WireCopyStats `json:"wire_copy"`
 }
 
-// TotalCalls sums the per-procedure call counts — the number the Fig
-// 8 RPC-economics test asserts against.
-func (st ServerStats) TotalCalls() uint64 {
-	var n uint64
-	for _, p := range st.Procs {
-		n += p.Calls
-	}
-	return n
-}
-
 // StatsSnapshot captures the server's NFS-layer counters, including
 // the shared transport metrics of all its sessions.
 func (s *Server) StatsSnapshot() ServerStats {

@@ -412,7 +412,7 @@ func BenchmarkNullRPC(b *testing.B) {
 	defer cl.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := cl.Null(); err != nil {
+		if err := cl.Call(Program, Version, ProcNull, nil, &struct{}{}); err != nil {
 			b.Fatal(err)
 		}
 	}

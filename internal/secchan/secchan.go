@@ -207,26 +207,20 @@ func readRecordPooled(r io.Reader) (*msgBuf, error) {
 		return nil, err
 	}
 	h := uint32(hdr[0])<<24 | uint32(hdr[1])<<16 | uint32(hdr[2])<<8 | uint32(hdr[3])
-	total := 0
+	m.b = m.b[:0]
 	for {
 		n := int(h & 0x7fffffff)
-		// Bound n before any arithmetic: on 32-bit platforms total+n
+		// Bound n before any arithmetic: on 32-bit platforms len+n
 		// could wrap negative and slip past a combined check.
-		if n > maxHandshakeMsg || total > maxHandshakeMsg-n {
+		if n > maxHandshakeMsg || len(m.b) > maxHandshakeMsg-n {
 			putMsgBuf(m)
 			return nil, errors.New("secchan: oversized handshake message")
 		}
-		if cap(m.b) < total+n {
-			grown := make([]byte, total+n)
-			copy(grown, m.b[:total])
-			m.b = grown
-		}
-		m.b = m.b[:total+n]
-		if _, err := io.ReadFull(r, m.b[total:]); err != nil {
+		var err error
+		if m.b, err = sunrpc.ReadAppend(r, m.b, n); err != nil {
 			putMsgBuf(m)
 			return nil, err
 		}
-		total += n
 		if h&0x80000000 != 0 { // last fragment: the only case writeMsg emits
 			return m, nil
 		}
@@ -758,9 +752,13 @@ func (c *Conn) readRecord() error {
 		chanStats.macDrops.Inc()
 		return ErrBadMAC // garbled length ≈ tampering
 	}
-	body, ret := sized(c.openBuf, n+sha1mac.Size)
-	c.openBuf = ret
-	if _, err := io.ReadFull(c.raw, body); err != nil {
+	// The length is not authenticated until the MAC checks, so the
+	// body is read into scratch that grows only as its bytes arrive.
+	body, err := sunrpc.ReadAppend(c.raw, c.openBuf[:0], n+sha1mac.Size)
+	if cap(body) <= maxRetainedBuf {
+		c.openBuf = body
+	}
+	if err != nil {
 		return err
 	}
 	// The open work proper — decrypt + MAC verify — is timed for the

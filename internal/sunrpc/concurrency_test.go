@@ -66,10 +66,10 @@ func TestOutOfOrderReplies(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	go srv.ServeConn(c2)                                          //nolint:errcheck
-	if err := WriteRecord(c1, callRecord(t, 1, 10)); err != nil { // stalls
+	if err := writeRecord(c1, callRecord(t, 1, 10)); err != nil { // stalls
 		t.Fatal(err)
 	}
-	if err := WriteRecord(c1, callRecord(t, 2, 11)); err != nil { // fast
+	if err := writeRecord(c1, callRecord(t, 2, 11)); err != nil { // fast
 		t.Fatal(err)
 	}
 	if xid := replyXID(t, c1); xid != 2 {
@@ -109,7 +109,7 @@ func TestServeConnContract(t *testing.T) {
 	stray := make([]byte, 8) // xid 0, msgReply: a reply nobody asked for
 	binary.BigEndian.PutUint32(stray[4:], msgReply)
 	for _, rec := range [][]byte{callRecord(t, 1, 10), {1, 2, 3}, stray} {
-		if err := WriteRecord(cl, rec); err != nil {
+		if err := writeRecord(cl, rec); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -161,7 +161,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 
 // ---------------------------------------------------------------------
 // Wire-level counters: process-wide totals of record-marked messages
-// through WriteRecord/ReadRecord, shared by every connection in the
+// through WriteRecordEncoder/ReadRecord, shared by every connection in the
 // process (clients, servers, callbacks).
 
 var wire struct {

@@ -102,7 +102,7 @@ func TestPureClientIgnoresIncomingCalls(t *testing.T) {
 		e := &xdr.Encoder{}
 		e.PutUint32(99)            // xid
 		e.PutUint32(0)             // msgCall
-		WriteRecord(c2, e.Bytes()) //nolint:errcheck
+		writeRecord(c2, e.Bytes()) //nolint:errcheck
 	}()
 	time.Sleep(20 * time.Millisecond)
 	select {

@@ -281,11 +281,11 @@ var segPool = sync.Pool{
 // (RFC 1831 §10) to w, without flattening when w is a SegmentWriter
 // and the gather path is on: the header and e's segments — including
 // borrowed payload slices — go straight to the transport. Otherwise
-// the record is flattened through a pooled buffer exactly like
-// WriteRecord. Wire-copy accounting (DESIGN.md §12) happens here:
-// payload-class bytes are tallied once per record, every flatten or
-// staging pass adds to wire_bytes_copied, and the per-record
-// copies-per-payload ratio feeds the histogram.
+// the record is flattened through a pooled buffer. Wire-copy
+// accounting (DESIGN.md §12) happens here: payload-class bytes are
+// tallied once per record, every flatten or staging pass adds to
+// wire_bytes_copied, and the per-record copies-per-payload ratio
+// feeds the histogram.
 func WriteRecordEncoder(w io.Writer, e *xdr.Encoder) error {
 	n := e.Len()
 	if n > 0x7fffffff {
@@ -340,82 +340,67 @@ func WriteRecordEncoder(w io.Writer, e *xdr.Encoder) error {
 	return err
 }
 
-// WriteRecord writes one record-marked message (RFC 1831 §10) to w.
-// The entire message is sent as a single fragment with the last-
-// fragment bit set. The combined header+payload is staged in a pooled
-// buffer, so w must not retain the slice passed to Write.
-func WriteRecord(w io.Writer, payload []byte) error {
-	if len(payload) > 0x7fffffff {
-		return errors.New("sunrpc: record too large")
-	}
-	bp := getBuf()
-	buf := (*bp)[:0]
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload))|0x80000000)
-	// Single write where possible keeps datagram-like transports whole.
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, payload...)
-	_, err := w.Write(buf)
-	*bp = buf
-	putBuf(bp)
-	if err == nil {
-		wire.recordsOut.Inc()
-		wire.bytesOut.Add(uint64(len(payload) + 4))
-	}
-	return err
-}
-
 // MaxRecord bounds the size of a reassembled record.
 const MaxRecord = 64 << 20
 
+// firstChunk is the most a record reader reserves before the bytes
+// arrive. It sits above the 64 KiB NFS transfer limit, so an NFS-sized
+// record still costs one allocation, and far below MaxRecord, so a
+// bare length header cannot make the reader reserve what it claims.
+const firstChunk = 128 << 10
+
+// ReadAppend appends exactly n bytes read from r to buf and returns
+// the extended slice. Capacity is reserved as the bytes arrive: a
+// full buf grows by what is still missing, capped at firstChunk, or by
+// doubling when that is more — so what is reserved stays within
+// firstChunk plus twice what has arrived, and many small appends
+// (tiny fragments) still cost amortized linear copying. An error
+// after some of the bytes arrived is io.ErrUnexpectedEOF, never
+// io.EOF.
+func ReadAppend(r io.Reader, buf []byte, n int) ([]byte, error) {
+	got := 0
+	for got < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), len(buf)+max(min(n-got, firstChunk), cap(buf)))
+			copy(grown, buf)
+			buf = grown
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(cap(buf), len(buf)+n-got)])
+		buf = buf[:len(buf)+k]
+		got += k
+		if err != nil {
+			if err == io.EOF && got > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
 // ReadRecord reads one record-marked message, reassembling fragments.
-// The returned slice is caller-owned: exactly one allocation on the
-// common single-fragment path, sized to the record. (The 4-byte header
-// is read through a pooled buffer because a stack array passed to an
-// io.Reader interface would escape.)
+// The returned slice is fresh and caller-owned: exactly one allocation
+// for a single-fragment record up to firstChunk bytes. (The 4-byte
+// header is read through a pooled buffer because a stack array passed
+// to an io.Reader interface would escape.)
 func ReadRecord(r io.Reader) ([]byte, error) {
 	bp := getBuf()
 	defer putBuf(bp)
 	hdr := (*bp)[:4]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, err
-	}
-	h := binary.BigEndian.Uint32(hdr)
-	n := int(h & 0x7fffffff)
-	if n > MaxRecord {
-		return nil, errors.New("sunrpc: record exceeds maximum size")
-	}
-	out := make([]byte, n)
-	if _, err := io.ReadFull(r, out); err != nil {
-		return nil, err
-	}
-	if h&0x80000000 != 0 { // last fragment: the common case
-		wire.recordsIn.Inc()
-		wire.bytesIn.Add(uint64(n + 4))
-		return out, nil
-	}
-	frags := uint64(1)
-	for {
+	var out []byte
+	for frags := uint64(1); ; frags++ {
 		if _, err := io.ReadFull(r, hdr); err != nil {
 			return nil, err
 		}
 		h := binary.BigEndian.Uint32(hdr)
 		n := int(h & 0x7fffffff)
-		m := len(out)
-		if n+m > MaxRecord {
+		if n > MaxRecord-len(out) {
 			return nil, errors.New("sunrpc: record exceeds maximum size")
 		}
-		if cap(out)-m < n {
-			grown := make([]byte, m+n)
-			copy(grown, out)
-			out = grown
-		} else {
-			out = out[:m+n]
-		}
-		if _, err := io.ReadFull(r, out[m:]); err != nil {
+		var err error
+		if out, err = ReadAppend(r, out, n); err != nil {
 			return nil, err
 		}
-		frags++
 		if h&0x80000000 != 0 {
 			wire.recordsIn.Inc()
 			wire.bytesIn.Add(uint64(len(out)) + 4*frags)

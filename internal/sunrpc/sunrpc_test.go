@@ -2,6 +2,7 @@ package sunrpc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -173,11 +174,19 @@ func TestClosedClientFails(t *testing.T) {
 	}
 }
 
+// writeRecord frames payload as one last-fragment record (RFC 1831
+// §10) and writes it to w in a single Write.
+func writeRecord(w io.Writer, payload []byte) error {
+	rec := binary.BigEndian.AppendUint32(nil, uint32(len(payload))|0x80000000)
+	_, err := w.Write(append(rec, payload...))
+	return err
+}
+
 func TestRecordMarking(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := [][]byte{{1}, {2, 3}, bytes.Repeat([]byte{9}, 5000), {}}
 	for _, m := range msgs {
-		if err := WriteRecord(&buf, m); err != nil {
+		if err := writeRecord(&buf, m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -225,7 +234,11 @@ func TestOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go srv.ListenAndServe(l) //nolint:errcheck
+	go func() {
+		if c, err := l.Accept(); err == nil {
+			srv.ServeConn(c) //nolint:errcheck
+		}
+	}()
 	conn, err := net.Dial("tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)

@@ -45,18 +45,6 @@ func (d *DatagramConn) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// ListenAndServe accepts TCP connections on l and serves RPC calls on
-// each in its own goroutine until l is closed.
-func (s *Server) ListenAndServe(l net.Listener) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		go s.ServeConn(conn) //nolint:errcheck // per-conn errors end that conn only
-	}
-}
-
 // ServePacket serves RPC calls arriving as datagrams on pc, replying to
 // each sender. The receive buffer is allocated once; each in-flight
 // packet gets a pooled copy sized to what actually arrived, and at most

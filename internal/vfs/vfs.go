@@ -1504,18 +1504,6 @@ func (fs *FS) ReadDir(cred Cred, dir FileID, cookie uint64, max int) ([]DirEntry
 	return ents, eof, nil
 }
 
-// NumNodes reports the number of live nodes, for tests.
-func (fs *FS) NumNodes() int {
-	total := 0
-	for i := range fs.shards {
-		sh := &fs.shards[i]
-		sh.mu.RLock()
-		total += len(sh.nodes)
-		sh.mu.RUnlock()
-	}
-	return total
-}
-
 // ShardLockStats is one stripe's slice of a LockStats snapshot.
 type ShardLockStats struct {
 	Shard         int    `json:"shard"`

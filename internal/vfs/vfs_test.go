@@ -477,9 +477,19 @@ func TestMkdirAllIdempotent(t *testing.T) {
 // Property: after any sequence of create/remove pairs the node count
 // returns to its baseline — no leaks.
 func TestQuickNoNodeLeaks(t *testing.T) {
+	numNodes := func(fs *FS) int {
+		total := 0
+		for i := range fs.shards {
+			sh := &fs.shards[i]
+			sh.mu.RLock()
+			total += len(sh.nodes)
+			sh.mu.RUnlock()
+		}
+		return total
+	}
 	f := func(names []string) bool {
 		fs := New()
-		base := fs.NumNodes()
+		base := numNodes(fs)
 		created := map[string]bool{}
 		for _, raw := range names {
 			name := fmt.Sprintf("n%x", raw)
@@ -498,7 +508,7 @@ func TestQuickNoNodeLeaks(t *testing.T) {
 				return false
 			}
 		}
-		return fs.NumNodes() == base
+		return numNodes(fs) == base
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

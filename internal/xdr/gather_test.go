@@ -141,8 +141,8 @@ func TestResetDropsBorrows(t *testing.T) {
 // use-after-put is detectable instead of silently corrupting the next
 // record that recycles the buffer.
 func TestPoisonOnPutCatchesUseAfterPut(t *testing.T) {
-	SetPoisonOnPut(true)
-	defer SetPoisonOnPut(false)
+	poisonOnPut.Store(true)
+	defer poisonOnPut.Store(false)
 
 	e := GetEncoder()
 	e.PutUint32(0x01020304)

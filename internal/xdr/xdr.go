@@ -214,8 +214,8 @@ func GetEncoder() *Encoder {
 // overwrites the encoder's entire buffer capacity with PoisonByte, so
 // any slice obtained from Bytes/Segments and illegally retained past
 // PutEncoder reads as garbage instead of silently aliasing the next
-// record. Enabled by the XDR_POISON environment variable or
-// SetPoisonOnPut; costs a memset per put, so it is off by default.
+// record. Enabled by the XDR_POISON environment variable; costs a
+// memset per put, so it is off by default.
 var poisonOnPut atomic.Bool
 
 // PoisonByte is the fill value of the poison-on-put debug mode.
@@ -226,11 +226,6 @@ func init() {
 		poisonOnPut.Store(true)
 	}
 }
-
-// SetPoisonOnPut toggles the poison-on-put debug mode at runtime
-// (tests use this; deployments use the XDR_POISON environment
-// variable).
-func SetPoisonOnPut(on bool) { poisonOnPut.Store(on) }
 
 // PutEncoder returns e to the pool. The caller must not touch e or
 // any slice returned by e.Bytes() or e.Segments() afterwards: the
@@ -611,6 +606,12 @@ func (d *Decoder) decodeValue(rv reflect.Value) error {
 		}
 		if n > MaxElements {
 			return ErrTooLong
+		}
+		// Every element takes at least 4 bytes on the wire: a count
+		// the remaining input cannot hold is rejected before the slice
+		// is allocated, so a short message cannot claim a huge one.
+		if int(n) > d.Remaining()/4 {
+			return io.ErrUnexpectedEOF
 		}
 		s := reflect.MakeSlice(rv.Type(), int(n), int(n))
 		for i := 0; i < int(n); i++ {
